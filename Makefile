@@ -77,7 +77,8 @@ benchsmoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/... > /dev/null
 	$(GO) test -run='^$$' -bench='Fingerprint|ReadHit|InsertStream|WorkloadGeneration' -benchtime=1x . > /dev/null
 
-# Short fuzzing smoke over the encoding and fingerprint invariants; the
+# Short fuzzing smoke over the encoding, fingerprint and diff-kernel
+# invariants (including the Ideal search's pruning bounds); the
 # corpus seeds come from the unit-test vectors, so even a few seconds
 # exercises the interesting shapes.
 fuzz:
@@ -85,6 +86,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLSHFingerprintStable -fuzztime=5s ./internal/lsh
 	$(GO) test -run='^$$' -fuzz=FuzzRecordedCodecRoundtrip -fuzztime=5s ./internal/artifact
 	$(GO) test -run='^$$' -fuzz=FuzzRunOutputCodecRoundtrip -fuzztime=5s ./internal/artifact
+	$(GO) test -run='^$$' -fuzz=FuzzDiffKernels -fuzztime=5s ./internal/line
+	$(GO) test -run='^$$' -fuzz=FuzzDiffKernels -fuzztime=5s ./internal/ideal
 
 # The artifact cache is an accelerator, never an input: campaign reports
 # must be byte-identical whether the cache is off, cold, or warm, with

@@ -12,6 +12,7 @@ import (
 	"repro/internal/bdicache"
 	"repro/internal/diffenc"
 	"repro/internal/harness"
+	"repro/internal/ideal"
 	"repro/internal/line"
 	"repro/internal/lsh"
 	"repro/internal/memory"
@@ -169,6 +170,18 @@ func measureBench() ([]benchEntry, error) {
 			}
 		}
 	})
+	add("line_diffbytes", classKernel, line.Size, func(b *testing.B) {
+		x := benchLine(3, 0)
+		y := x
+		y[5] += 9
+		y[41] -= 3
+		b.ReportAllocs()
+		sink := 0
+		for i := 0; i < b.N; i++ {
+			sink += line.DiffBytes(&x, &y)
+		}
+		_ = sink
+	})
 	add("bdi_compress", classKernel, line.Size, func(b *testing.B) {
 		l := benchLine(3, 0)
 		var enc bdi.Encoded
@@ -252,6 +265,31 @@ func measureBench() ([]benchEntry, error) {
 		}
 	})
 
+	// The Ideal oracle's install: each op writes the next line of a fixed
+	// stream (the fills and writebacks of a real mcf recording, also the
+	// artifact rows' input below) to an
+	// address not resident in a full default-size cache, so it pays the
+	// whole-cache nearest-line search, indexing, and the evictions that
+	// keep the data budget.
+	benchRec, err := harness.RecordProfile("mcf", 100_000)
+	if err != nil {
+		return nil, err
+	}
+	add("ideal_install", classHotPath, line.Size, func(b *testing.B) {
+		cfg := ideal.DefaultConfig()
+		span := 4 * cfg.TagEntries
+		ev := benchRec.Events
+		c := ideal.New(cfg, memory.NewStore())
+		for i := 0; i < span; i++ {
+			c.Write(line.Addr(i*line.Size), ev[i%len(ev)].Data)
+		}
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.Write(line.Addr((i%span)*line.Size), ev[i%len(ev)].Data)
+		}
+	})
+
 	// --- construction and release lifecycle ---
 	// Sweeps and ablations build one cache per configuration point; with
 	// the release lifecycle the base table comes back from the per-size
@@ -277,10 +315,6 @@ func measureBench() ([]benchEntry, error) {
 	// --- artifact cache codec (warm-start path) ---
 	// A warm campaign's recording cost is exactly one decode per profile,
 	// so these two rows are the trajectory of the cold→warm gap.
-	benchRec, err := harness.RecordProfile("mcf", 100_000)
-	if err != nil {
-		return nil, err
-	}
 	benchArtifact := artifact.Encode(nil, &artifact.File{Recorded: benchRec})
 	add("artifact_encode_recorded", classArtifact, int64(len(benchArtifact)), func(b *testing.B) {
 		buf := make([]byte, 0, len(benchArtifact))

@@ -47,7 +47,9 @@ func (c Config) Validate() error {
 // Sets returns the number of sets.
 func (c Config) Sets() int { return c.Entries / c.Ways }
 
-// Entry is one tag-array entry with a design-specific payload.
+// Entry is one tag-array entry with a design-specific payload. Valid is
+// owned by the Array (Insert sets it, InvalidateIndex clears it); designs
+// read it but never write it.
 type Entry[P any] struct {
 	Addr    line.Addr
 	Valid   bool
@@ -78,6 +80,7 @@ type Array[P any] struct {
 	entries []Entry[P] // sets × ways, row-major
 	policy  []plru.Policy
 	stats   Stats
+	valid   int // number of valid entries, kept by Insert and InvalidateIndex
 }
 
 // New builds an Array from cfg, panicking on invalid configuration (all
@@ -183,6 +186,8 @@ func (a *Array[P]) Insert(addr line.Addr) (e *Entry[P], idx int, evicted Entry[P
 		evicted = a.entries[base+victim]
 		hadEviction = true
 		a.stats.Evictions++
+	} else {
+		a.valid++
 	}
 	idx = a.index(set, victim)
 	var zero P
@@ -252,6 +257,7 @@ func (a *Array[P]) InvalidateIndex(idx int) Entry[P] {
 	a.entries[idx].Valid = false
 	if old.Valid {
 		a.stats.Evictions++
+		a.valid--
 	}
 	return old
 }
@@ -270,13 +276,7 @@ func (a *Array[P]) ForEach(fn func(idx int, e *Entry[P])) {
 	}
 }
 
-// CountValid returns the number of valid (resident) entries.
-func (a *Array[P]) CountValid() int {
-	n := 0
-	for i := range a.entries {
-		if a.entries[i].Valid {
-			n++
-		}
-	}
-	return n
-}
+// CountValid returns the number of valid (resident) entries. Validity
+// changes only in Insert and InvalidateIndex, which keep the count, so
+// this is O(1).
+func (a *Array[P]) CountValid() int { return a.valid }

@@ -207,6 +207,30 @@ func TestAgainstReferenceModel(t *testing.T) {
 				ref[set][lru] = refEntry{ad, clock}
 			}
 		}
+		// Occasionally invalidate a random entry, in the array and the
+		// reference alike, so the resident count also falls.
+		if step%7 == 0 {
+			idx := rng.Intn(entries)
+			if e := a.EntryAt(idx); e.Valid {
+				s := idx / ways
+				for i := range ref[s] {
+					if ref[s][i].addr == e.Addr {
+						ref[s] = append(ref[s][:i], ref[s][i+1:]...)
+						break
+					}
+				}
+			}
+			a.InvalidateIndex(idx)
+		}
+		// The O(1) resident count agrees with a scan and the reference.
+		scan, resident := 0, 0
+		a.ForEach(func(int, *Entry[int]) { scan++ })
+		for s := range ref {
+			resident += len(ref[s])
+		}
+		if n := a.CountValid(); n != scan || n != resident {
+			t.Fatalf("step %d: CountValid %d, scan %d, reference %d", step, n, scan, resident)
+		}
 	}
 }
 

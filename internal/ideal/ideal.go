@@ -12,7 +12,8 @@
 // within a useful diff distance almost always share at least one aligned
 // 8-byte word with their nearest neighbour, so candidates are found by
 // word equality and supplemented with a random probe set. This is the one
-// deliberate approximation in the package (documented in DESIGN.md).
+// deliberate approximation in the package (DESIGN.md §4, item 10); the
+// index that runs it is described in docs/performance.md.
 package ideal
 
 import (
@@ -21,7 +22,6 @@ import (
 	"repro/internal/line"
 	"repro/internal/llc"
 	"repro/internal/memory"
-	"repro/internal/xrand"
 )
 
 // DedupSnapshot returns the effective-capacity factor of ideal exact
@@ -54,30 +54,27 @@ func DiffSnapshot(lines []line.Line) float64 {
 	if len(lines) == 0 {
 		return 1
 	}
-	idx := newWordIndex(0x1dea)
+	ix := newWordIndex(0, 0x1dea)
 	costBytes := 0
 	for i := range lines {
 		l := &lines[i]
 		if l.IsZero() {
 			continue // zero lines are tag-only
 		}
-		cost := line.Size
-		if best, ok := idx.nearest(l, lines); ok {
-			if d := line.DiffBytes(l, &lines[best]); diffenc.DiffSizeBytes(d) < cost {
-				cost = diffenc.DiffSizeBytes(d)
-			}
-		}
-		// A 0+diff against the implicit zero line is also available.
-		if z := diffenc.DiffSizeBytes(l.PopCountNonZero()); z < cost {
-			cost = z
-		}
-		costBytes += cost
-		idx.add(i, l)
+		costBytes += diffenc.DiffSizeBytes(ix.nearest(l, -1, diffLimit(l)))
+		ix.push(l)
 	}
 	if costBytes == 0 {
 		return float64(len(lines))
 	}
 	return float64(len(lines)*line.Size) / float64(costBytes)
+}
+
+// diffLimit is the search limit for a non-zero line: a diff against a
+// neighbour only lowers its cost when it is smaller than both a raw line
+// and a 0+diff against the implicit zero line.
+func diffLimit(l *line.Line) int {
+	return min(line.Size-diffenc.DiffSizeBytes(0), l.PopCountNonZero())
 }
 
 // DiffCDF returns, for each n in 0..64, the fraction of lines whose
@@ -88,17 +85,13 @@ func DiffCDF(lines []line.Line) [line.Size + 1]float64 {
 	if len(lines) < 2 {
 		return cdf
 	}
-	idx := newWordIndex(0x2cdf)
+	ix := newWordIndex(0, 0x2cdf)
 	for i := range lines {
-		idx.add(i, &lines[i])
+		ix.push(&lines[i])
 	}
 	counts := make([]int, line.Size+1)
 	for i := range lines {
-		best := line.Size
-		if j, ok := idx.nearestExcluding(&lines[i], lines, i); ok {
-			best = line.DiffBytes(&lines[i], &lines[j])
-		}
-		counts[best]++
+		counts[ix.nearest(&lines[i], i, line.Size)]++
 	}
 	cum := 0
 	for n := 0; n <= line.Size; n++ {
@@ -106,69 +99,6 @@ func DiffCDF(lines []line.Line) [line.Size + 1]float64 {
 		cdf[n] = float64(cum) / float64(len(lines))
 	}
 	return cdf
-}
-
-// wordIndex locates near-duplicate candidates by exact 8-byte word match,
-// with a bounded random probe fallback.
-type wordIndex struct {
-	byWord map[uint64][]int
-	all    []int
-	rng    *xrand.Rand
-}
-
-// maxCandidates bounds the per-lookup work; beyond this the candidate set
-// is sampled.
-const maxCandidates = 192
-
-// randomProbes supplements word-match candidates to catch neighbours that
-// differ in every word.
-const randomProbes = 32
-
-func newWordIndex(seed uint64) *wordIndex {
-	return &wordIndex{byWord: make(map[uint64][]int), rng: xrand.New(seed)}
-}
-
-func (ix *wordIndex) add(id int, l *line.Line) {
-	for i := 0; i < line.WordsPerLine; i++ {
-		w := l.Word(i)
-		lst := ix.byWord[w]
-		if len(lst) < maxCandidates { // duplicate-heavy words need no more
-			ix.byWord[w] = append(lst, id)
-		}
-	}
-	ix.all = append(ix.all, id)
-}
-
-// nearest returns the indexed line most similar to l.
-func (ix *wordIndex) nearest(l *line.Line, lines []line.Line) (int, bool) {
-	return ix.nearestExcluding(l, lines, -1)
-}
-
-// nearestExcluding is nearest but skips the line with index self.
-func (ix *wordIndex) nearestExcluding(l *line.Line, lines []line.Line, self int) (int, bool) {
-	best, bestDiff := -1, line.Size+1
-	seen := 0
-	consider := func(id int) {
-		if id == self {
-			return
-		}
-		seen++
-		if d := line.DiffBytes(l, &lines[id]); d < bestDiff {
-			best, bestDiff = id, d
-		}
-	}
-	for i := 0; i < line.WordsPerLine && bestDiff > 0; i++ {
-		for _, id := range ix.byWord[l.Word(i)] {
-			consider(id)
-			if seen > maxCandidates {
-				break
-			}
-		}
-	}
-	for p := 0; p < randomProbes && len(ix.all) > 0; p++ {
-		consider(ix.all[ix.rng.Intn(len(ix.all))])
-	}
-	return best, best >= 0
 }
 
 // Config sizes the online Ideal-Diff cache: tag count matching the
@@ -185,23 +115,17 @@ func DefaultConfig() Config {
 	return Config{TagEntries: 32768, TagWays: 8, DataBytes: 1462 * 512, Seed: 0x1dea1}
 }
 
-// payload records the line and its frozen compressed size. The ideal
-// model charges each line the size observed at insertion (the paper's
-// ideal searches the cache at insertion time).
-type payload struct {
-	data line.Line
-	cost int
-}
-
 // Cache is the online ideal-diff LLC (the "Ideal" series in Fig. 13).
+// Each tag's payload is the compressed size frozen at insertion (the
+// paper's ideal searches the cache at insertion time); the line itself
+// lives in the search index's slab under the tag's stable index.
 type Cache struct {
 	cfg   Config
-	tags  *cache.Array[payload]
+	tags  *cache.Array[int]
 	used  int
 	clock int
 	mem   *memory.Store
-	idx   map[uint64][]int // word → tag indices (lazily cleaned)
-	rng   *xrand.Rand
+	ix    *wordIndex
 
 	stats llc.Stats
 }
@@ -212,12 +136,11 @@ var _ llc.Cache = (*Cache)(nil)
 func New(cfg Config, mem *memory.Store) *Cache {
 	return &Cache{
 		cfg: cfg,
-		tags: cache.New[payload](cache.Config{
+		tags: cache.New[int](cache.Config{
 			Entries: cfg.TagEntries, Ways: cfg.TagWays, Policy: "plru",
 		}),
 		mem: mem,
-		idx: make(map[uint64][]int),
-		rng: xrand.New(cfg.Seed),
+		ix:  newWordIndex(cfg.TagEntries, cfg.Seed),
 	}
 }
 
@@ -228,9 +151,9 @@ func (c *Cache) Name() string { return "Ideal" }
 func (c *Cache) Read(addr line.Addr) (line.Line, bool) {
 	addr = addr.LineAddr()
 	c.stats.Reads++
-	if e, _ := c.tags.Lookup(addr); e != nil {
+	if e, idx := c.tags.Lookup(addr); e != nil {
 		c.stats.ReadHits++
-		return e.Payload.data, true
+		return c.ix.slab[idx], true
 	}
 	data := c.mem.Read(addr, memory.Fill)
 	c.stats.Fills++
@@ -244,10 +167,11 @@ func (c *Cache) Write(addr line.Addr, data line.Line) bool {
 	c.stats.Writes++
 	if e, idx := c.tags.Lookup(addr); e != nil {
 		c.stats.WriteHits++
-		c.used -= e.Payload.cost
-		e.Payload = payload{data: data, cost: c.cost(&data)}
-		c.used += e.Payload.cost
-		c.indexLine(idx, &data)
+		c.used -= e.Payload
+		e.Payload = c.cost(&data) // searched while the old data is resident
+		c.used += e.Payload
+		c.ix.store(idx, &data)
+		c.ix.index(idx)
 		c.evictToBudget(addr)
 		e.Dirty = true
 		return true
@@ -261,73 +185,22 @@ func (c *Cache) cost(data *line.Line) int {
 	if data.IsZero() {
 		return 0
 	}
-	best := line.Size
-	if z := diffenc.DiffSizeBytes(data.PopCountNonZero()); z < best {
-		best = z
-	}
-	probe := func(id int) {
-		e := c.tags.EntryAt(id)
-		if !e.Valid {
-			return
-		}
-		if d := diffenc.DiffSizeBytes(line.DiffBytes(data, &e.Payload.data)); d < best {
-			best = d
-		}
-	}
-	seen := 0
-	for i := 0; i < line.WordsPerLine && best > diffenc.DiffSizeBytes(0); i++ {
-		lst := c.idx[data.Word(i)]
-		kept := lst[:0]
-		for _, id := range lst {
-			e := c.tags.EntryAt(id)
-			if !e.Valid || !hasWord(&e.Payload.data, data.Word(i)) {
-				continue // lazily drop stale index entries
-			}
-			kept = append(kept, id)
-			probe(id)
-			seen++
-			if seen > maxCandidates {
-				break
-			}
-		}
-		c.idx[data.Word(i)] = kept
-	}
-	for p := 0; p < randomProbes; p++ {
-		probe(c.rng.Intn(c.cfg.TagEntries))
-	}
-	return best
-}
-
-func hasWord(l *line.Line, w uint64) bool {
-	for i := 0; i < line.WordsPerLine; i++ {
-		if l.Word(i) == w {
-			return true
-		}
-	}
-	return false
-}
-
-// indexLine registers the line's words for candidate lookup.
-func (c *Cache) indexLine(tagIdx int, l *line.Line) {
-	for i := 0; i < line.WordsPerLine; i++ {
-		w := l.Word(i)
-		lst := c.idx[w]
-		if len(lst) < maxCandidates {
-			c.idx[w] = append(lst, tagIdx)
-		}
-	}
+	return diffenc.DiffSizeBytes(c.ix.nearestCompacting(data, diffLimit(data)))
 }
 
 // install inserts a new line, charging its ideal compressed size.
 func (c *Cache) install(addr line.Addr, data line.Line, dirty bool) {
 	e, idx, evicted, had := c.tags.Insert(addr)
 	if had {
-		c.retire(evicted)
+		c.retire(idx, evicted)
 	}
-	e.Payload = payload{data: data, cost: c.cost(&data)}
+	// The new tag is valid with a zero payload while its cost is searched.
+	c.ix.store(idx, &line.Zero)
+	e.Payload = c.cost(&data)
 	e.Dirty = dirty
-	c.used += e.Payload.cost
-	c.indexLine(idx, &data)
+	c.used += e.Payload
+	c.ix.store(idx, &data)
+	c.ix.index(idx)
 	c.evictToBudget(addr)
 }
 
@@ -341,15 +214,17 @@ func (c *Cache) evictToBudget(keep line.Addr) {
 			continue
 		}
 		old := c.tags.InvalidateIndex(victim)
-		c.retire(old)
+		c.retire(victim, old)
+		c.ix.kill(victim)
 	}
 }
 
-// retire writes back and un-charges a displaced line.
-func (c *Cache) retire(evicted cache.Entry[payload]) {
-	c.used -= evicted.Payload.cost
+// retire writes back and un-charges the line displaced from tag index
+// idx; its data is still in the slab.
+func (c *Cache) retire(idx int, evicted cache.Entry[int]) {
+	c.used -= evicted.Payload
 	if evicted.Dirty {
-		c.mem.Write(evicted.Addr, evicted.Payload.data, memory.Writeback)
+		c.mem.Write(evicted.Addr, c.ix.slab[idx], memory.Writeback)
 		c.stats.Writebacks++
 	}
 }
@@ -378,12 +253,13 @@ func (c *Cache) Footprint() llc.Footprint {
 
 // Release implements llc.Cache: the ideal model keeps no post-run extras,
 // so the snapshot carries only the common statistics. The tag array and
-// the candidate index are freed; the cache must not be used afterwards.
+// the search index (line slab, slot metadata, word table and lists) are
+// freed; the cache must not be used afterwards.
 func (c *Cache) Release() llc.StatsSnapshot {
 	if c.tags == nil {
 		panic("ideal: Release called twice")
 	}
 	c.tags = nil
-	c.idx = nil
+	c.ix = nil
 	return llc.StatsSnapshot{Design: c.Name(), Stats: c.stats}
 }

@@ -116,9 +116,20 @@ func DiffMask(l, m *Line) uint64 {
 
 // DiffBytes returns the number of byte positions at which l and m differ.
 // This is the distance metric used throughout the paper (it determines the
-// size of the base+diff encoding).
+// size of the base+diff encoding). It equals OnesCount64(DiffMask(l, m))
+// but skips the mask: each XORed word folds to one bit per byte, the
+// folded words add into one accumulator whose bytes count to at most 8,
+// and one multiply sums the eight byte counters into the top byte.
 func DiffBytes(l, m *Line) int {
-	return bits.OnesCount64(DiffMask(l, m))
+	var acc uint64
+	for i := 0; i < Size; i += 8 {
+		x := binary.LittleEndian.Uint64(l[i:]) ^ binary.LittleEndian.Uint64(m[i:])
+		x |= x >> 4
+		x |= x >> 2
+		x |= x >> 1
+		acc += x & 0x0101010101010101
+	}
+	return int((acc * 0x0101010101010101) >> 56)
 }
 
 // HammingBits returns the number of differing bits between l and m.
