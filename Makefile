@@ -64,7 +64,7 @@ test:
 # the experiments package; -race over their tests catches data races in
 # the parallel campaign paths — including the per-worker scratch arenas
 # the Thesaurus/BΔI caches carry, the singleflight run coalescing, and
-# the pooled base-table release lifecycle (docs/performance.md). Short
+# the cache release lifecycle (docs/performance.md). Short
 # trace lengths keep this a smoke pass, not a full campaign.
 race:
 	$(GO) test -race -count=1 ./internal/harness ./internal/experiments ./internal/thesaurus
@@ -78,7 +78,8 @@ benchsmoke:
 	$(GO) test -run='^$$' -bench='Fingerprint|ReadHit|InsertStream|WorkloadGeneration' -benchtime=1x . > /dev/null
 
 # Short fuzzing smoke over the encoding, fingerprint and diff-kernel
-# invariants (including the Ideal search's pruning bounds); the
+# invariants (including the Ideal search's pruning bounds) and the paged
+# Thesaurus base table against its map reference model; the
 # corpus seeds come from the unit-test vectors, so even a few seconds
 # exercises the interesting shapes.
 fuzz:
@@ -88,6 +89,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRunOutputCodecRoundtrip -fuzztime=5s ./internal/artifact
 	$(GO) test -run='^$$' -fuzz=FuzzDiffKernels -fuzztime=5s ./internal/line
 	$(GO) test -run='^$$' -fuzz=FuzzDiffKernels -fuzztime=5s ./internal/ideal
+	$(GO) test -run='^$$' -fuzz=FuzzBaseTable -fuzztime=5s ./internal/thesaurus
 
 # The artifact cache is an accelerator, never an input: campaign reports
 # must be byte-identical whether the cache is off, cold, or warm, with

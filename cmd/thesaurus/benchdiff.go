@@ -23,6 +23,7 @@ type benchHistoryRecord struct {
 	When        string       `json:"when"`
 	GoVersion   string       `json:"go_version"`
 	GOMAXPROCS  int          `json:"gomaxprocs"`
+	NumCPU      int          `json:"nproc"`
 	Baseline    string       `json:"baseline"`
 	Regressions int          `json:"regressions"`
 	Note        string       `json:"note,omitempty"`
@@ -31,7 +32,7 @@ type benchHistoryRecord struct {
 
 // gatedClass reports whether a row's class participates in the
 // regression gate. Lifecycle and artifact rows are trajectory-only:
-// their numbers legitimately move with pool warm-up and trace size.
+// their numbers legitimately move with allocator state and trace size.
 func gatedClass(class string) bool {
 	return class == classKernel || class == classHotPath
 }
@@ -108,6 +109,7 @@ func runBenchDiff(baselinePath, historyPath, note string) error {
 			When:        time.Now().UTC().Format(time.RFC3339),
 			GoVersion:   runtime.Version(),
 			GOMAXPROCS:  runtime.GOMAXPROCS(0),
+			NumCPU:      runtime.NumCPU(),
 			Baseline:    baselinePath,
 			Regressions: len(regressions),
 			Note:        note,

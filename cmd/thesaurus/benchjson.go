@@ -32,7 +32,7 @@ const benchSchema = "thesaurus-bench-hotpath/v2"
 // Row classes. Tooling treats them differently: bench-diff gates the
 // kernel and hot-path classes (a regression there fails the build), while
 // lifecycle and artifact rows are recorded for trajectory only — their
-// numbers legitimately move with pool warm-up and serialized-trace size.
+// numbers legitimately move with allocator state and serialized-trace size.
 const (
 	// classKernel rows measure single compression/hash primitives on one
 	// line; they have no cache state and are the most stable numbers.
@@ -75,6 +75,7 @@ type benchDoc struct {
 	Schema     string       `json:"schema"`
 	GoVersion  string       `json:"go_version"`
 	GOMAXPROCS int          `json:"gomaxprocs"`
+	NumCPU     int          `json:"nproc"`
 	Benchmarks []benchEntry `json:"benchmarks"`
 }
 
@@ -291,10 +292,10 @@ func measureBench() ([]benchEntry, error) {
 	})
 
 	// --- construction and release lifecycle ---
-	// Sweeps and ablations build one cache per configuration point; with
-	// the release lifecycle the base table comes back from the per-size
-	// pool, so steady-state construction is an epoch bump instead of a
-	// multi-megabyte make-and-zero.
+	// Sweeps and ablations build one cache per configuration point. The
+	// base table is demand-paged, so a cache costs its directory plus the
+	// pages its lines touch: the 24-bit row replays a short fixed line
+	// stream between construction and release so those pages are counted.
 	add("thesaurus_new_release", classLifecycle, 0, func(b *testing.B) {
 		cfg := thesaurus.DefaultConfig()
 		b.ReportAllocs()
@@ -303,12 +304,17 @@ func measureBench() ([]benchEntry, error) {
 			c.Release()
 		}
 	})
-	add("basetable_pooled_cycle_2p20", classHotPath, 0, func(b *testing.B) {
-		mem := memory.NewStore()
+	add("thesaurus_new_release_24bit", classLifecycle, 0, func(b *testing.B) {
+		cfg := thesaurus.DefaultConfig()
+		cfg.LSH.Bits = lsh.MaxBits
+		lines := benchWriteLines()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			t := thesaurus.NewBaseTable(20, mem)
-			t.Release()
+			c := thesaurus.MustNew(cfg, memory.NewStore())
+			for j := range lines {
+				c.Write(line.Addr(j%benchResidentLines*line.Size), lines[j])
+			}
+			c.Release()
 		}
 	})
 
@@ -413,6 +419,7 @@ func runBenchJSON(path string) error {
 		Schema:     benchSchema,
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 		Benchmarks: entries,
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")

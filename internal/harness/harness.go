@@ -245,15 +245,15 @@ func runOnce(profile, design string, opt RunOptions, sample bool) (*RunOutput, e
 	}
 	out := &RunOutput{}
 	ropt := opt.Replay
-	// The Fig. 16 cluster-size sampling walks the whole base table and
-	// costs a measurable slice of replay time; only the memoized default
+	// The Fig. 16 cluster-size sampling walks the base table's allocated
+	// pages and costs a measurable slice of replay time; only the memoized default
 	// runs feed Fig. 16, so custom-configuration sweep runs skip it.
 	if th, ok := c.(*thesaurus.Cache); ok && sample {
 		samples, taken := 0, 0
 		var fracs [4]float64
 		ropt.OnSample = func(llc.Cache) {
-			// Sampling the whole base table every footprint sample is too
-			// slow; every 16th suffices for a stable Fig. 16 average.
+			// Walking the base table every footprint sample is too slow;
+			// every 16th suffices for a stable Fig. 16 average.
 			if samples%16 == 0 {
 				f := th.BaseTable().ClusterSizes()
 				taken++
@@ -272,9 +272,9 @@ func runOnce(profile, design string, opt RunOptions, sample bool) (*RunOutput, e
 	}
 	out.Res = res
 	// End of the cache's life: extract the immutable statistics snapshot
-	// and free the bulk storage — the Thesaurus base table returns to the
-	// per-size pool for the next sweep configuration. Nothing may touch c
-	// after this point (thesauruslint's releaseuse analyzer checks).
+	// and free the bulk storage, including the Thesaurus base table's
+	// directory and pages. Nothing may touch c after this point
+	// (thesauruslint's releaseuse analyzer checks).
 	out.Snap = c.Release()
 	// Likewise the backing store's content map is only needed during
 	// replay; the statistics the experiments read survive a release. This

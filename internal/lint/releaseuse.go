@@ -9,8 +9,9 @@ import (
 // ReleaseUse enforces the release lifecycle documented in
 // docs/performance.md: Release() extracts a resource's final statistics
 // snapshot and frees (or pools) its bulk storage, so nothing may read
-// the resource afterwards — the released cache's tag and data arrays are
-// nil, and a pooled base table may already belong to a different cache.
+// the resource afterwards — the released cache's tag and data arrays and
+// base-table directory are nil, and a released store's pages may already
+// belong to a different store.
 // The analyzer flags, within one function body, any use of a variable
 // after a non-deferred <var>.Release() call on it. A reassignment of the
 // variable starts a fresh lifecycle, and deferred releases run at

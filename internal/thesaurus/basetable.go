@@ -1,8 +1,6 @@
 package thesaurus
 
 import (
-	"sync"
-
 	"repro/internal/line"
 	"repro/internal/lsh"
 	"repro/internal/memory"
@@ -12,107 +10,83 @@ import (
 
 // BaseEntry is one base-table record (§5.2.3, Fig. 9 bottom-right): the
 // clusteroid line for an LSH fingerprint plus a counter of how many
-// resident cache entries currently reference it. Validity is an epoch
-// stamp rather than a bool: an entry is valid iff its stamp equals the
-// owning table's current epoch, so a recycled table invalidates its
-// whole slab with one counter increment instead of re-zeroing it (see
-// BaseTable.Reset). Sites that stamp an entry valid must also write
-// Base and Cntr — a stale entry's payload is garbage from a previous
-// table life.
+// resident cache entries currently reference it. Entries start invalid
+// (the zero value) and become valid when a placement seeds a clusteroid;
+// they never return to invalid within a table's life.
 type BaseEntry struct {
-	epoch uint32
+	valid bool
 	Base  line.Line
 	Cntr  uint32
 }
 
+// A base-table page holds pageSize consecutive entries (16 × 72 B, 1.1
+// KiB).
+const (
+	pageBits = 4
+	pageSize = 1 << pageBits
+)
+
+// basePage is one demand-allocated block of consecutive table entries.
+type basePage [pageSize]BaseEntry
+
 // BaseTable is the global, OS-allocated in-memory array of clusteroids,
 // one entry per possible LSH fingerprint. Accesses that miss the base
 // cache are charged as DRAM traffic on the backing store.
+//
+// Like OS-backed memory, the table is demand-paged: a directory holds one
+// pointer per page of pageSize entries, and a page is allocated the
+// first time a placement touches one of its fingerprints. A run seeds a
+// few thousand fingerprints, so a 2^24-entry table costs its directory
+// plus the pages actually used, and scans visit only those pages.
 type BaseTable struct {
-	entries []BaseEntry
-	// epoch is the current validity stamp; entry.epoch == epoch means
-	// valid. Zero is reserved for never-written entries (the zero value
-	// of a fresh slab), so a live table's epoch is always ≥ 1.
-	epoch uint32
+	pages []*basePage
+	n     int
 	mem   *memory.Store
 }
 
-// tablePools recycles released tables by size, indexed by the bit width
-// (table sizes are always powers of two, and lsh.MaxBits bounds the
-// exponent). Ablation sweeps construct one table per configuration, and
-// at 2^20+ entries the make-and-zero of a fresh slab is a measurable
-// slice of campaign time; reusing a pooled slab makes NewBaseTable O(1)
-// (one epoch bump, no zeroing). A fixed array of pools rather than a
-// sync.Map keyed by entry count keeps Release/NewBaseTable free of the
-// interface-key boxing a large int key would allocate on every cycle.
-var tablePools [lsh.MaxBits + 1]sync.Pool
-
-// poolIndex returns the tablePools slot for a table of n entries, or -1
-// for sizes no pool serves (non-power-of-two or out of range; such
-// tables are simply not recycled).
-func poolIndex(n int) int {
-	bits := 0
-	for 1<<uint(bits) < n && bits <= lsh.MaxBits {
-		bits++
-	}
-	if 1<<uint(bits) != n {
-		return -1
-	}
-	return bits
-}
-
-// NewBaseTable returns a table with 2^bits entries over mem, reusing a
-// pooled slab of the same size when one is available. A recycled table
-// is observationally identical to a fresh one: Reset invalidates every
-// entry before it is handed out.
+// NewBaseTable returns an all-invalid table with 2^bits entries over mem.
 func NewBaseTable(bits int, mem *memory.Store) *BaseTable {
-	if bits >= 0 && bits <= lsh.MaxBits {
-		if v := tablePools[bits].Get(); v != nil {
-			t := v.(*BaseTable)
-			t.mem = mem
-			t.Reset()
-			return t
-		}
-	}
-	return &BaseTable{entries: make([]BaseEntry, 1<<uint(bits)), epoch: 1, mem: mem}
+	n := 1 << uint(bits)
+	return &BaseTable{pages: make([]*basePage, (n+pageSize-1)>>pageBits), n: n, mem: mem}
 }
 
-// Reset invalidates every entry in O(1) by advancing the validity epoch.
-// Stamps only ever hold past epoch values, so no entry can compare equal
-// to the new epoch — except after the uint32 wraps, when stamps from
-// 2^32-1 resets ago could alias; that one reset in four billion pays a
-// full slab zeroing and restarts at epoch 1.
-func (t *BaseTable) Reset() {
-	t.epoch++
-	if t.epoch == 0 {
-		clear(t.entries)
-		t.epoch = 1
-	}
-}
-
-// Release detaches the table from its backing store and parks it in the
-// per-size pool for the next NewBaseTable of the same geometry. The
-// caller must not touch the table afterwards.
+// Release detaches the table from its backing store and drops its pages.
+// The caller must not touch the table afterwards.
 func (t *BaseTable) Release() {
+	t.pages = nil
 	t.mem = nil
-	if i := poolIndex(len(t.entries)); i >= 0 {
-		tablePools[i].Put(t)
-	}
 }
-
-// valid reports whether e carries t's current validity epoch.
-func (t *BaseTable) valid(e *BaseEntry) bool { return e.epoch == t.epoch }
-
-// markValid stamps e valid for t's current epoch. The caller must also
-// set Base and Cntr: a previously stale entry holds garbage.
-func (t *BaseTable) markValid(e *BaseEntry) { e.epoch = t.epoch }
 
 // Len returns the number of table entries.
-func (t *BaseTable) Len() int { return len(t.entries) }
+func (t *BaseTable) Len() int { return t.n }
 
-// entry returns the record for fp without accounting.
+// entry returns the record for fp without accounting, allocating its
+// page on first touch.
+//
+//thesaurus:allocok demand paging: a page allocates on the first touch of one of its fingerprints and lives until Release
 func (t *BaseTable) entry(fp lsh.Fingerprint) *BaseEntry {
-	return &t.entries[int(fp)%len(t.entries)]
+	i := int(fp) & (t.n - 1)
+	p := t.pages[i>>pageBits]
+	if p == nil {
+		p = new(basePage)
+		t.pages[i>>pageBits] = p
+	}
+	return &p[i&(pageSize-1)]
+}
+
+// forEach calls fn for every valid entry in fingerprint order, visiting
+// allocated pages only.
+func (t *BaseTable) forEach(fn func(fp lsh.Fingerprint, e *BaseEntry)) {
+	for pi, p := range t.pages {
+		if p == nil {
+			continue
+		}
+		for j := range p {
+			if e := &p[j]; e.valid {
+				fn(lsh.Fingerprint(pi<<pageBits|j), e)
+			}
+		}
+	}
 }
 
 // chargeDRAM records one base-table DRAM access (a base-cache miss or a
@@ -126,15 +100,12 @@ func (t *BaseTable) chargeDRAM() {
 // ActiveClusters returns the number of table entries with live references
 // and the number of valid entries overall.
 func (t *BaseTable) ActiveClusters() (live, valid int) {
-	for i := range t.entries {
-		e := &t.entries[i]
-		if t.valid(e) {
-			valid++
-			if e.Cntr > 0 {
-				live++
-			}
+	t.forEach(func(_ lsh.Fingerprint, e *BaseEntry) {
+		valid++
+		if e.Cntr > 0 {
+			live++
 		}
-	}
+	})
 	return live, valid
 }
 
@@ -143,12 +114,9 @@ func (t *BaseTable) ActiveClusters() (live, valid int) {
 // whole table.
 func (t *BaseTable) ClusterSizes() (frac [4]float64) {
 	var counts [4]int
-	for i := range t.entries {
-		e := &t.entries[i]
-		if !t.valid(e) || e.Cntr == 0 {
-			continue
-		}
+	t.forEach(func(_ lsh.Fingerprint, e *BaseEntry) {
 		switch {
+		case e.Cntr == 0: // retired: no live references
 		case e.Cntr < 10:
 			counts[0]++
 		case e.Cntr < 50:
@@ -158,9 +126,9 @@ func (t *BaseTable) ClusterSizes() (frac [4]float64) {
 		default:
 			counts[3]++
 		}
-	}
+	})
 	for i, c := range counts {
-		frac[i] = float64(c) / float64(len(t.entries))
+		frac[i] = float64(c) / float64(t.n)
 	}
 	return frac
 }

@@ -16,7 +16,7 @@ func TestBaseTableClusterSizes(t *testing.T) {
 	}
 	stamp := func(fp lsh.Fingerprint, cntr uint32) {
 		e := tab.entry(fp)
-		tab.markValid(e)
+		e.valid = true
 		e.Cntr = cntr
 	}
 	stamp(1, 5)   // <10
@@ -137,8 +137,8 @@ func TestBaseRetirement(t *testing.T) {
 	mem.Poke(0, l)
 	c.Read(0)
 	ent := c.table.entry(fp)
-	if !c.table.valid(ent) || ent.Cntr != 0 {
-		t.Fatalf("table not seeded: valid=%v cntr=%d", c.table.valid(ent), ent.Cntr)
+	if !ent.valid || ent.Cntr != 0 {
+		t.Fatalf("table not seeded: valid=%v cntr=%d", ent.valid, ent.Cntr)
 	}
 
 	// The next insertion for the fingerprint hits the base cache, finds

@@ -567,7 +567,7 @@ func (c *Cache) releaseBase(p tagPayload) {
 		return
 	}
 	ent := c.table.entry(p.fp)
-	if !c.table.valid(ent) || ent.Cntr == 0 {
+	if !ent.valid || ent.Cntr == 0 {
 		panic("thesaurus: base refcount underflow")
 	}
 	ent.Cntr--
@@ -629,7 +629,7 @@ func (c *Cache) placeLine(e *cache.Entry[tagPayload], tagIdx int, data *line.Lin
 	// The diff against the live clusteroid drives both the Fig. 15
 	// accounting and the encoder; compute (or take from the hint) the
 	// mask once and share it.
-	live := c.table.valid(ent) && ent.Cntr > 0
+	live := ent.valid && ent.Cntr > 0
 	var baseMask uint64
 	if live {
 		if hint.haveBaseMask {
@@ -648,10 +648,10 @@ func (c *Cache) placeLine(e *cache.Entry[tagPayload], tagIdx int, data *line.Lin
 	// Base-cache access on the insertion path. A miss means the base is
 	// not available in time: store raw while the entry is fetched (§5.4.1).
 	if !c.bcache.Access(fp, c.table, false) {
-		if !c.table.valid(ent) {
+		if !ent.valid {
 			// No clusteroid existed; seed the table so future insertions
 			// for this fingerprint can cluster.
-			c.table.markValid(ent)
+			ent.valid = true
 			ent.Base = *data
 			ent.Cntr = 0
 		}
@@ -663,7 +663,7 @@ func (c *Cache) placeLine(e *cache.Entry[tagPayload], tagIdx int, data *line.Lin
 	// Base cache hit: the clusteroid (if any) is at hand.
 	if !live {
 		// No live cluster: this line becomes the (new) clusteroid.
-		c.table.markValid(ent)
+		ent.valid = true
 		ent.Base = *data
 		ent.Cntr = 1
 		e.Payload.fmt = diffenc.FormatBaseOnly
@@ -786,7 +786,7 @@ func (c *Cache) decodeEntry(e *cache.Entry[tagPayload]) line.Line {
 	var base *line.Line
 	if p.refsBase() {
 		ent := c.table.entry(p.fp)
-		if !c.table.valid(ent) {
+		if !ent.valid {
 			panic("thesaurus: base-referencing entry without table base")
 		}
 		base = &ent.Base
@@ -903,9 +903,8 @@ func (s *Snapshot) Clone() llc.ExtraSnapshot {
 
 // Release implements llc.Cache: it extracts the immutable statistics
 // snapshot and frees the cache's bulk storage — the tag array, the
-// data-array slabs, and the base table, which returns to the per-size
-// pool for the next cache of the same geometry. Nothing on the cache may
-// be used afterwards; only the returned snapshot survives.
+// data-array slabs, and the base table's directory and pages. Nothing on
+// the cache may be used afterwards; only the returned snapshot survives.
 func (c *Cache) Release() llc.StatsSnapshot {
 	if c.table == nil {
 		panic("thesaurus: Release called twice")
@@ -968,21 +967,15 @@ func (c *Cache) CheckInvariants() error {
 	})
 	for fp, want := range refs {
 		ent := c.table.entry(fp)
-		if !c.table.valid(ent) || ent.Cntr != want {
+		if !ent.valid || ent.Cntr != want {
 			return fmt.Errorf("base %#x: cntr=%d but %d referencing tags", fp, ent.Cntr, want)
 		}
 	}
-	// And no base claims references it does not have. Entries outside the
-	// current validity epoch are stale content from a previous table life
-	// (the table may come from the per-size pool) and carry no claims.
-	for i := 0; i < c.table.Len(); i++ {
-		ent := &c.table.entries[i]
-		if !c.table.valid(ent) {
-			continue
+	// And no base claims references it does not have.
+	c.table.forEach(func(fp lsh.Fingerprint, ent *BaseEntry) {
+		if err == nil && ent.Cntr != 0 && refs[fp] != ent.Cntr {
+			err = fmt.Errorf("base %#x: cntr=%d but %d referencing tags", fp, ent.Cntr, refs[fp])
 		}
-		if ent.Cntr != 0 && refs[lsh.Fingerprint(i)] != ent.Cntr {
-			return fmt.Errorf("base %#x: cntr=%d but %d referencing tags", i, ent.Cntr, refs[lsh.Fingerprint(i)])
-		}
-	}
-	return nil
+	})
+	return err
 }
