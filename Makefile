@@ -127,7 +127,7 @@ cache-identity:
 	echo "cache-identity: warm cache, run-level layer off"; \
 	$$tmp/thesaurus -cache-dir $$tmp/cache -no-run-cache -workers 4 -quick -profiles mcf,omnetpp,xz,gcc fig13 \
 		2>/dev/null | sed '/completed in/d' >$$tmp/norun.txt; \
-	echo "cache-identity: distributed (-distribute 2), fresh cache"; \
+	echo "cache-identity: distributed (-distribute 2, loopback netq), fresh cache"; \
 	$$tmp/thesaurus -distribute 2 -cache-dir $$tmp/dcache -workers 1 -quick -profiles mcf,omnetpp,xz,gcc fig13 \
 		2>/dev/null | sed '/completed in/d' >$$tmp/dist.txt; \
 	$$tmp/thesaurus -json -distribute 2 -cache-dir $$tmp/dcache -workers 1 -quick -profiles mcf,omnetpp,xz,gcc fig13 \

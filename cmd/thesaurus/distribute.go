@@ -12,20 +12,12 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/netq"
-	"repro/internal/spool"
 	"repro/internal/workload"
 	"repro/internal/workq"
 )
 
-// workReclaimAfter is how long a claim may sit untouched before the queue
-// takes it back from a presumed-dead worker. Workers heartbeat every
-// workq.HeartbeatEvery, so only a genuinely dead worker's claims ever
-// come back — on both transports (spool mtime restamp, netq lease).
-const workReclaimAfter = 2 * time.Minute
-
 // campaignTasks enumerates the design × profile matrix of the coming
-// campaign as transport-neutral queue tasks — the one task list both the
-// spool coordinator and the netq coordinator publish.
+// campaign as the queue tasks the netq coordinator publishes.
 func campaignTasks(opt experiments.Options) []workq.Task {
 	profiles := opt.Profiles
 	if len(profiles) == 0 {
@@ -51,7 +43,7 @@ func campaignTasks(opt experiments.Options) []workq.Task {
 
 // taskRunOptions reconstructs the harness options a task's cell runs
 // under. Workers stay serial per task (Workers=1): parallelism comes
-// from draining many tasks at once, not from sharding one replay.
+// from draining many tasks at once, across worker processes.
 func taskRunOptions(t workq.Task) harness.RunOptions {
 	opt := harness.RunOptions{
 		Accesses: t.Accesses,
@@ -115,19 +107,6 @@ func reportMergedStats(workers int, s workq.CacheStats) {
 	}
 }
 
-// runWorkerSpool drains a spool directory, then publishes this worker's
-// cache counters into it for the coordinator's merged summary line.
-func runWorkerSpool(dir string) error {
-	if _, ok := harness.ArtifactStats(); !ok {
-		return errors.New("-worker -spool requires the artifact cache (-no-cache is incompatible)")
-	}
-	drainErr := workq.Drain(spool.NewQueue(dir, workReclaimAfter), workq.HeartbeatEvery, runCell)
-	if err := spool.WriteStats(dir, workerCacheStats()); err != nil {
-		fmt.Fprintln(os.Stderr, "thesaurus worker:", err)
-	}
-	return drainErr
-}
-
 // runWorkerNet connects to a netq coordinator and drains its queue.
 // connect is host:port, or @file naming a file that will hold the
 // address (the coordinator's -addr-file; polled briefly so workers can
@@ -149,7 +128,7 @@ func runWorkerNet(connect string, cache *artifact.Cache) error {
 		return err
 	}
 	defer cli.Close()
-	stream := workq.WantsArtifacts(cli)
+	stream := cli.StreamArtifacts()
 	return workq.Drain(cli, workq.HeartbeatEvery, func(t workq.Task) workq.Outcome {
 		out := runCell(t)
 		if out.Err != nil {
@@ -201,70 +180,6 @@ func resolveConnectAddr(connect string) (string, error) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-}
-
-// distribute shards the design × profile matrix of the coming campaign
-// across n worker processes draining a spool directory, each warming the
-// shared artifact cache, then returns so the caller's normal (in-process)
-// campaign runs against the warm cache. The report is therefore assembled
-// by exactly the same code path as a serial run — byte-identity with
-// serial execution holds by construction, and a lost or failed worker
-// costs only recomputation in the final pass, never correctness.
-func distribute(n int, exeArgs workerArgs, opt experiments.Options) error {
-	if _, ok := harness.ArtifactStats(); !ok {
-		return errors.New("-distribute requires the artifact cache (-no-cache is incompatible)")
-	}
-	spoolDir, err := os.MkdirTemp("", "thesaurus-spool-*")
-	if err != nil {
-		return fmt.Errorf("distribute: %w", err)
-	}
-	defer os.RemoveAll(spoolDir)
-
-	tasks := campaignTasks(opt)
-	if err := spool.Write(spoolDir, tasks); err != nil {
-		return err
-	}
-
-	exited, err := spawnWorkers(n, append([]string{"-worker", "-spool", spoolDir}, exeArgs.flags()...))
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(os.Stderr, "distribute: %d tasks across %d workers (spool %s)\n",
-		len(tasks), n, spoolDir)
-	tick := time.NewTicker(200 * time.Millisecond)
-	defer tick.Stop()
-	for running := n; running > 0; {
-		select {
-		case err := <-exited:
-			running--
-			if err != nil {
-				// A dead worker is a warning, not a failure: its tasks stay
-				// unclaimed (or un-done) and the final in-process pass
-				// computes whatever the cache is missing.
-				fmt.Fprintf(os.Stderr, "distribute: worker exited with error: %v\n", err)
-			}
-		case <-tick.C:
-			if p, err := spool.Scan(spoolDir); err == nil {
-				fmt.Fprintf(os.Stderr, "distribute: %d/%d done, %d working, %d failed\r",
-					p.Done, len(tasks), p.Working, p.Failed)
-			}
-		}
-	}
-	p, err := spool.Scan(spoolDir)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "distribute: %d/%d done, %d failed\n", p.Done, len(tasks), p.Failed)
-	if msgs, err := spool.Failures(spoolDir); err == nil {
-		for _, m := range msgs {
-			fmt.Fprintf(os.Stderr, "distribute: %s (will recompute in-process)\n", m)
-		}
-	}
-	if s, workers, err := spool.ReadStats(spoolDir); err == nil {
-		reportMergedStats(workers, s)
-	}
-	return nil
 }
 
 // spawnWorkers launches n copies of our own binary with args, returning

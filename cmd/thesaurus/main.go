@@ -24,20 +24,21 @@
 //	-no-cache          disable the on-disk artifact cache
 //	-no-run-cache      disable the run-level artifact layer (recordings still cached)
 //	-cache-verify      debug: regenerate and deep-compare every artifact hit
-//	-distribute N      shard the design×profile matrix across N worker processes
-//	                   warming the shared cache before the in-process campaign
+//	-distribute N      spawn N local worker processes that drain the design×profile
+//	                   matrix over the TCP work queue (alone: served on loopback),
+//	                   warming the cache before the in-process campaign
 //	-serve host:port   serve the matrix as a TCP work queue (multi-host runs;
 //	                   port 0 picks a free one, -addr-file publishes it)
 //	-addr-file f       with -serve: write the bound address to f
 //	-lease d           with -serve: task lease duration (default 2m)
 //	-serve-grace d     with -serve: degrade to in-process recompute after this
 //	                   long with no workers connected (default 15s)
-//	-worker            worker mode: drain a work queue (-spool or -connect)
-//	-spool d           work-queue directory for -worker (spool transport)
-//	-connect a         coordinator host:port or @file for -worker (TCP transport)
+//	-worker            worker mode: drain a coordinator's work queue (-connect)
+//	-connect a         coordinator host:port or @file for -worker
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -115,10 +116,9 @@ func main() {
 	noCache := flag.Bool("no-cache", false, "disable the on-disk artifact cache")
 	noRunCache := flag.Bool("no-run-cache", false, "disable the run-level artifact layer (recordings still cached)")
 	cacheVerify := flag.Bool("cache-verify", false, "debug: regenerate and deep-compare every artifact hit")
-	distributeN := flag.Int("distribute", 0, "shard the design×profile matrix across N worker processes before the campaign")
-	worker := flag.Bool("worker", false, "worker mode: drain a work queue (-spool or -connect)")
-	spoolDir := flag.String("spool", "", "work-queue directory (worker mode, spool transport)")
-	connect := flag.String("connect", "", "coordinator host:port, or @file naming a file holding it (worker mode, TCP transport)")
+	distributeN := flag.Int("distribute", 0, "spawn N local workers draining the design×profile matrix before the campaign (without -serve: on a loopback queue)")
+	worker := flag.Bool("worker", false, "worker mode: drain a coordinator's work queue (-connect)")
+	connect := flag.String("connect", "", "coordinator host:port, or @file naming a file holding it (worker mode)")
 	serveAddr := flag.String("serve", "", "host:port to serve the campaign's TCP work queue on before the in-process campaign (port 0 picks one)")
 	addrFile := flag.String("addr-file", "", "with -serve: publish the bound address to this file (for -connect @file)")
 	leaseDur := flag.Duration("lease", 2*time.Minute, "with -serve: task lease duration (re-queued when a worker stops heartbeating)")
@@ -141,22 +141,16 @@ func main() {
 	cache := setupArtifacts(*cacheDir, *cacheMax, *noCache, *cacheVerify)
 	harness.SetRunCache(!*noRunCache)
 
+	modes := modeFlags{worker: *worker, connect: *connect, serve: *serveAddr,
+		distribute: *distributeN, cache: cache != nil}
+	if err := modes.check(); err != nil {
+		fail(err)
+	}
 	if *worker {
-		// Workers do not print their own cache stats: each transport
-		// carries them back (spool stats file / netq goodbye frame) and
-		// the coordinator prints one merged line instead of N interleaved.
-		var err error
-		switch {
-		case *spoolDir != "" && *connect != "":
-			err = fmt.Errorf("-worker takes -spool or -connect, not both")
-		case *spoolDir != "":
-			err = runWorkerSpool(*spoolDir)
-		case *connect != "":
-			err = runWorkerNet(*connect, cache)
-		default:
-			err = fmt.Errorf("-worker requires -spool or -connect")
-		}
-		if err != nil {
+		// Workers do not print their own cache stats: the netq goodbye
+		// frame carries them back and the coordinator prints one merged
+		// line instead of N interleaved.
+		if err := runWorkerNet(*connect, cache); err != nil {
 			fail(err)
 		}
 		return
@@ -198,21 +192,14 @@ func main() {
 	if cache != nil {
 		wa.cacheDir = cache.Dir()
 	}
-	switch {
-	case *serveAddr != "":
-		// Pre-warm the cache over the TCP work queue (workers connect from
-		// anywhere; -distribute N additionally spawns N local ones); the
-		// campaign below then assembles the report in-process from warm
-		// artifacts, so its bytes are identical to a serial run by
-		// construction.
+	if *serveAddr != "" || *distributeN > 0 {
+		// Pre-warm the cache over the TCP work queue (with -serve, workers
+		// connect from anywhere; -distribute N spawns N local ones, on a
+		// loopback-only queue when -serve is absent); the campaign below
+		// then assembles the report in-process from warm artifacts, so its
+		// bytes are identical to a serial run by construction.
 		if err := serveCampaign(*serveAddr, *addrFile, *leaseDur, *serveGrace,
 			*distributeN, wa, opt, cache); err != nil {
-			fail(err)
-		}
-	case *distributeN > 0:
-		// Same pre-warm over the spool directory: local worker processes
-		// sharing our filesystem.
-		if err := distribute(*distributeN, wa, opt); err != nil {
 			fail(err)
 		}
 	}
@@ -360,6 +347,33 @@ func run(exp string, opt experiments.Options) (string, error) {
 	default:
 		return "", fmt.Errorf("unknown experiment %q", exp)
 	}
+}
+
+// modeFlags is the slice of the command line that picks how a campaign
+// runs: in-process, as a work-queue coordinator, or as a worker.
+type modeFlags struct {
+	worker     bool
+	connect    string
+	serve      string
+	distribute int
+	cache      bool // the artifact cache is installed
+}
+
+// check rejects the combinations that cannot run, naming the flag the
+// user passed. Coordinators need the artifact cache because it is the
+// channel workers' results come back through.
+func (m modeFlags) check() error {
+	switch {
+	case m.worker && m.connect == "":
+		return errors.New("-worker requires -connect")
+	case m.worker:
+		return nil
+	case m.serve != "" && !m.cache:
+		return errors.New("-serve requires the artifact cache (-no-cache is incompatible)")
+	case m.distribute > 0 && !m.cache:
+		return errors.New("-distribute requires the artifact cache (-no-cache is incompatible)")
+	}
+	return nil
 }
 
 // reporter is any experiment result that renders itself.

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,14 +18,20 @@ import (
 // (anywhere on the network; spawn > 0 additionally launches that many
 // local worker processes pointed back at us), and returns once every
 // task is terminal — or once no worker has been connected for grace, at
-// which point it degrades exactly like the spool coordinator: the
-// in-process campaign that follows recomputes whatever the cache is
-// missing, so a transport failure costs redundant work, never
-// correctness or report bytes.
+// which point it degrades: the in-process campaign that follows
+// recomputes whatever the cache is missing, so a transport failure costs
+// redundant work, never correctness or report bytes.
+//
+// An empty addr serves on an ephemeral loopback port for the spawned
+// workers alone (-distribute N without -serve). No other worker can
+// reach that queue, so once every spawned worker has exited with tasks
+// outstanding the coordinator degrades at once instead of waiting out
+// grace.
 func serveCampaign(addr, addrFile string, lease, grace time.Duration,
 	spawn int, wa workerArgs, opt experiments.Options, cache *artifact.Cache) error {
-	if cache == nil {
-		return errors.New("-serve requires the artifact cache (-no-cache is incompatible)")
+	local := addr == ""
+	if local {
+		addr = "127.0.0.1:0"
 	}
 	tasks := campaignTasks(opt)
 	srv, err := netq.NewServer(addr, tasks, netq.ServerOptions{
@@ -55,9 +60,23 @@ func serveCampaign(addr, addrFile string, lease, grace time.Duration,
 
 	if spawn > 0 {
 		args := append([]string{"-worker", "-connect", srv.Addr()}, wa.flags()...)
-		if _, err := spawnWorkers(spawn, args); err != nil {
+		exited, err := spawnWorkers(spawn, args)
+		if err != nil {
 			return err
 		}
+		go func() {
+			for i := 0; i < spawn; i++ {
+				if err := <-exited; err != nil {
+					// A dead worker is a warning, not a failure: its leases
+					// re-queue for the others, and the in-process campaign
+					// recomputes whatever never completed.
+					fmt.Fprintf(os.Stderr, "serve: local worker exited with error: %v\n", err)
+				}
+			}
+			if local && !srv.Progress().Terminal() {
+				srv.Close()
+			}
+		}()
 	}
 
 	sum := srv.Wait(grace, func(p netq.Progress) {
@@ -69,7 +88,12 @@ func serveCampaign(addr, addrFile string, lease, grace time.Duration,
 	for _, m := range sum.Failures {
 		fmt.Fprintf(os.Stderr, "serve: %s (will recompute in-process)\n", m)
 	}
-	if sum.Degraded {
+	switch {
+	case sum.Degraded && local:
+		fmt.Fprintf(os.Stderr,
+			"serve: all %d local workers exited with %d tasks outstanding — degrading to in-process recompute\n",
+			spawn, sum.Pending+sum.Leased)
+	case sum.Degraded:
 		fmt.Fprintf(os.Stderr,
 			"serve: no workers for %s with %d tasks outstanding — degrading to in-process recompute\n",
 			grace, sum.Pending+sum.Leased)

@@ -15,7 +15,6 @@ import (
 	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/thesaurus"
-	"repro/internal/uncomp"
 )
 
 // Designs are the design names accepted by BuildLLC, in report order —
@@ -200,30 +199,12 @@ func Run(profile, design string, opt RunOptions) (*RunOutput, error) {
 	return out.clone(), nil
 }
 
-// Designs whose LLCs implement sim.SetPartitioned, eligible for
-// set-sharded parallel replay (the compile-time assertion below keeps the
-// list honest).
-var _ sim.SetPartitioned = (*uncomp.Cache)(nil)
-
-func setPartitioned(design string) bool {
-	return design == "Baseline" || design == "2x Baseline"
-}
-
 // runOnce executes one replay without consulting the memo. sample
 // enables the Fig. 16 cluster-size sampling (memoized default runs only).
 func runOnce(profile, design string, opt RunOptions, sample bool) (*RunOutput, error) {
 	rec, err := RecordProfile(profile, opt.Accesses)
 	if err != nil {
 		return nil, err
-	}
-	// Set-partitioned designs shard one replay across Workers goroutines
-	// when the caller explicitly asked for intra-run parallelism. The
-	// sharded result is byte-identical to the serial one (runKey excludes
-	// Workers for exactly this reason), so memoized entries are consistent
-	// regardless of which path produced them. An OnSample hook forces the
-	// serial path: it expects to observe one whole cache per instant.
-	if opt.Workers > 1 && opt.Replay.OnSample == nil && setPartitioned(design) {
-		return runShardedOnce(design, rec, opt)
 	}
 	var c llc.Cache
 	var st *memory.Store
@@ -280,38 +261,6 @@ func runOnce(profile, design string, opt RunOptions, sample bool) (*RunOutput, e
 	// replay; the statistics the experiments read survive a release. This
 	// keeps long campaigns (one store per design × profile) within memory.
 	st.Release()
-	return out, nil
-}
-
-// runShardedOnce replays rec into design across opt.Workers disjoint
-// shard caches (sim.ReplaySharded) and merges the shards' snapshots into
-// the one the serial path would have released. One logical replay, so the
-// replays counter advances once.
-func runShardedOnce(design string, rec *sim.Recorded, opt RunOptions) (*RunOutput, error) {
-	n := opt.Workers
-	shards := make([]llc.Cache, n)
-	stores := make([]*memory.Store, n)
-	ucs := make([]*uncomp.Cache, n)
-	for i := range shards {
-		c, st, err := BuildLLC(design)
-		if err != nil {
-			return nil, err
-		}
-		uc, ok := c.(*uncomp.Cache)
-		if !ok {
-			return nil, fmt.Errorf("harness: design %q listed set-partitioned but is %T", design, c)
-		}
-		shards[i], stores[i], ucs[i] = c, st, uc
-	}
-	replays.Add(1)
-	res, err := sim.ReplaySharded(shards, stores, rec, sim.DefaultSystem(), opt.Replay)
-	if err != nil {
-		return nil, err
-	}
-	out := &RunOutput{Res: res, Snap: uncomp.MergeRelease(ucs)}
-	for _, st := range stores {
-		st.Release()
-	}
 	return out, nil
 }
 

@@ -343,45 +343,6 @@ func TestParMap(t *testing.T) {
 	}
 }
 
-func TestShardedReplayMatchesSerial(t *testing.T) {
-	// Property: for the set-partitioned designs, a replay sharded across any
-	// worker count is byte-identical to the serial replay — every metric
-	// (including the float-derived ones) and the full release snapshot.
-	// A non-default Thesaurus config disables memoization for every design,
-	// so each Run below actually replays instead of sharing one memo entry
-	// across worker counts.
-	noMemo := thesaurus.DefaultConfig()
-	noMemo.LSH.Bits = 8
-	for _, design := range []string{"Baseline", "2x Baseline"} {
-		opt := quickOpt()
-		opt.Replay.Verify = true
-		opt.Thesaurus = &noMemo
-		opt.Workers = 1
-		want, err := Run("exchange2", design, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{2, 4, 7} {
-			opt.Workers = w
-			before := replays.Load()
-			got, err := Run("exchange2", design, opt)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", design, w, err)
-			}
-			if delta := replays.Load() - before; delta != 1 {
-				t.Fatalf("%s workers=%d: %d replays, want 1", design, w, delta)
-			}
-			if !reflect.DeepEqual(got.Res, want.Res) {
-				t.Fatalf("%s workers=%d: metrics diverge from serial\n got %+v\nwant %+v",
-					design, w, got.Res, want.Res)
-			}
-			if !reflect.DeepEqual(got.Snap, want.Snap) {
-				t.Fatalf("%s workers=%d: release snapshot diverges from serial", design, w)
-			}
-		}
-	}
-}
-
 func TestRunAll(t *testing.T) {
 	res, err := RunAll("exchange2", []string{"Baseline", "Thesaurus"}, quickOpt())
 	if err != nil {

@@ -37,7 +37,7 @@ type ClientOptions struct {
 }
 
 // Client is the worker-side queue handle. It implements workq.Queue and
-// workq.ArtifactStreamer, and survives coordinator restarts and network
+// survives coordinator restarts and network
 // blips by redialing with exponential backoff plus jitter; operations are
 // idempotent on the server (duplicate results are dropped), so a retry
 // after a half-delivered frame is safe.
@@ -84,8 +84,8 @@ func (c *Client) SharedCache() bool {
 	return c.shared
 }
 
-// StreamArtifacts implements workq.ArtifactStreamer: outcomes must carry
-// artifact bytes exactly when the cache is not shared.
+// StreamArtifacts reports whether outcomes must carry artifact bytes:
+// exactly when the cache is not shared.
 func (c *Client) StreamArtifacts() bool { return !c.SharedCache() }
 
 // Close drops the connection.

@@ -183,8 +183,8 @@ func TestFailedOutcomeRecorded(t *testing.T) {
 	}
 }
 
-// TestLeaseExpiryExactlyOnce is the reclaim race mirror of the spool
-// crash-injection suite: worker A claims and goes silent, the lease
+// TestLeaseExpiryExactlyOnce is the reclaim race: worker A claims and
+// goes silent, the lease
 // expires and worker B re-claims; both eventually finish, and completion
 // stays exactly-once — one done task, the late duplicate acknowledged
 // and dropped.
@@ -646,5 +646,31 @@ func TestWaitDegradesWithoutWorkers(t *testing.T) {
 	}
 	if d := time.Since(start); d < 300*time.Millisecond || d > 5*time.Second {
 		t.Fatalf("degrade after %v, want just past the grace window", d)
+	}
+}
+
+// TestWaitReturnsOnClose: Close ends Wait promptly even inside a long
+// grace window — the coordinator's signal that every local worker has
+// exited, so nobody is left to drain the outstanding tasks.
+func TestWaitReturnsOnClose(t *testing.T) {
+	srv := newTestServer(t, testTasks(2), ServerOptions{})
+	waited := make(chan Summary, 1)
+	go func() { waited <- srv.Wait(time.Minute, nil) }()
+	time.Sleep(100 * time.Millisecond)
+	closed := time.Now()
+	srv.Close()
+	select {
+	case sum := <-waited:
+		if !sum.Degraded {
+			t.Fatal("Wait did not flag the degrade")
+		}
+		if sum.Pending != 2 {
+			t.Fatalf("summary has %d pending tasks, want 2", sum.Pending)
+		}
+		if d := time.Since(closed); d > time.Second {
+			t.Fatalf("Wait returned %v after Close, want within 1s", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait still blocked 5s after Close")
 	}
 }

@@ -1,12 +1,13 @@
-// Package netq is the TCP transport of the campaign work queue: a small
-// stdlib-only protocol that replaces the spool directory when workers run
-// on machines that do not share a filesystem with the coordinator.
+// Package netq is the transport of the campaign work queue: a small
+// stdlib-only TCP protocol that carries tasks to worker processes, on
+// the coordinator's own host (loopback) or on machines that do not share
+// a filesystem with it.
 //
-// The coordinator (cmd/thesaurus -serve) listens on a TCP port, holds the
-// campaign's task list, and hands out time-leased tasks; workers
-// (cmd/thesaurus -worker -connect) pull tasks, heartbeat their leases
-// while computing, and report outcomes. Results travel one of two ways,
-// negotiated per connection at handshake:
+// The coordinator (cmd/thesaurus -serve or -distribute) listens on a TCP
+// port, holds the campaign's task list, and hands out time-leased tasks;
+// workers (cmd/thesaurus -worker -connect) pull tasks, heartbeat their
+// leases while computing, and report outcomes. Results travel one of two
+// ways, negotiated per connection at handshake:
 //
 //   - shared cache directory: the worker proves it sees the coordinator's
 //     -cache-dir (it reads back a session token file the coordinator
@@ -20,10 +21,9 @@
 // Robustness: a lease that expires (no heartbeat) or whose connection
 // drops re-queues its task for the surviving workers; workers reconnect
 // with exponential backoff plus jitter; and when the last worker dies the
-// coordinator degrades to in-process recompute exactly like the spool
-// transport — the queue partitions work, the content-addressed cache is
-// the result channel, so a transport failure costs redundant work, never
-// correctness.
+// coordinator degrades to in-process recompute — the queue partitions
+// work, the content-addressed cache is the result channel, so a
+// transport failure costs redundant work, never correctness.
 //
 // Wire format: length-prefixed JSON frames — a 4-byte big-endian payload
 // length, then the JSON-encoded message. The first exchange is a

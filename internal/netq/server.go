@@ -19,8 +19,8 @@ import (
 type ServerOptions struct {
 	// Lease is how long a claimed task may go without a heartbeat before
 	// it re-queues for another worker. It must comfortably exceed one
-	// heartbeat interval (workq.HeartbeatEvery); 0 means 2 minutes, the
-	// same deadline the spool transport uses for claim reclamation.
+	// heartbeat interval (workq.HeartbeatEvery); 0 means 2 minutes, long
+	// enough that only a dead worker's tasks ever re-queue.
 	Lease time.Duration
 
 	// IdleTimeout bounds how long a connected worker may stay silent
@@ -78,8 +78,8 @@ type Summary struct {
 	// StatsWorkers is how many workers reported.
 	Stats        workq.CacheStats
 	StatsWorkers int
-	// Degraded is set when Wait gave up waiting for workers (none
-	// connected for the grace window with tasks still pending).
+	// Degraded is set when Wait gave up with tasks still outstanding:
+	// no worker connected for the grace window, or Close was called.
 	Degraded bool
 }
 
@@ -223,18 +223,19 @@ func (s *Server) progressLocked() Progress {
 	}
 }
 
-// Wait blocks until every task is terminal, or — degrading exactly like
-// the spool coordinator when its workers die — until no worker has been
-// connected for grace with tasks still outstanding (the grace timer
-// restarts whenever a worker connects). onTick, when non-nil, is called
-// roughly every 200ms with a progress snapshot (the CLI's live stderr
-// line).
+// Wait blocks until every task is terminal, or — degrading to the
+// caller's in-process recompute — until no worker has been connected for
+// grace with tasks still outstanding (the grace timer restarts whenever a
+// worker connects), or until Close is called with tasks still
+// outstanding. onTick, when non-nil, is called roughly every 200ms with a
+// progress snapshot (the CLI's live stderr line).
 func (s *Server) Wait(grace time.Duration, onTick func(Progress)) Summary {
 	idleSince := time.Now()
 	var terminalSince time.Time
 	for {
 		s.mu.Lock()
 		p := s.progressLocked()
+		closed := s.closed
 		s.mu.Unlock()
 		if onTick != nil {
 			onTick(p)
@@ -252,6 +253,9 @@ func (s *Server) Wait(grace time.Duration, onTick func(Progress)) Summary {
 			}
 			time.Sleep(50 * time.Millisecond)
 			continue
+		}
+		if closed {
+			return s.summary(true)
 		}
 		if p.Workers > 0 || p.Leased > 0 {
 			idleSince = time.Now()

@@ -143,9 +143,7 @@ func Replay(c llc.Cache, rec *Recorded, st *memory.Store, sys SystemConfig, opt 
 }
 
 // finalizeSamples converts the running footprint-sample sums into the
-// time-averaged Fig. 13a metrics and the MPKI. Shared by the serial and
-// set-sharded replays so both produce bit-identical derived metrics from
-// identical sums.
+// time-averaged Fig. 13a metrics and the MPKI.
 //
 //thesaurus:hotpath
 func finalizeSamples(res *Result, ratioSum, occSum, residentSum float64) {

@@ -221,6 +221,91 @@ func TestWarmupReset(t *testing.T) {
 	}
 }
 
+// TestShardedWarmupBoundaries: the measurement window starts at event
+// int(WarmupFraction·len(events)). The table pins the degenerate extremes
+// (warmup == 0, warmup == len(events)), one event in, one event short of
+// the end, and off-by-one sample-schedule boundaries around the last sample
+// instant, against counts computed directly from the event stream. The
+// name dates from when these fractions were also replayed over set-sharded
+// caches; replay is serial now, and what stays of that comparison is that
+// the resident lines at the end do not depend on where the reset fell.
+func TestShardedWarmupBoundaries(t *testing.T) {
+	img := memory.NewStore()
+	accesses := synthTrace(9, 60000, 4096, img)
+	sys := tinySystem()
+	rec := Record(trace.NewSliceSource(accesses), sys, img)
+	e := len(rec.Events)
+	const sampleEvery = 64
+	if e < 4*sampleEvery {
+		t.Fatalf("trace too filtered for boundary cases: %d events", e)
+	}
+	cfg := uncomp.Config{SizeBytes: 64 << 10, Ways: 8, Policy: "plru"}
+
+	// fracFor yields a WarmupFraction that truncates to exactly w:
+	// (w+0.5)/e × e is within half an event of w+0.5, so int() floors it
+	// to w for every e this trace produces.
+	fracFor := func(w int) float64 { return (float64(w) + 0.5) / float64(e) }
+	cases := []struct {
+		name string
+		frac float64
+	}{
+		{"zero", 0}, // reset fires on the first event
+		{"all", 1},  // warmup == len(events): empty measurement window
+		{"one", fracFor(1)},
+		{"last", fracFor(e - 1)},
+		// Around one SampleEvery stride before the end: the number of
+		// post-warmup sample instants changes by one across these.
+		{"stride-1", fracFor(e - sampleEvery - 1)},
+		{"stride", fracFor(e - sampleEvery)},
+		{"stride+1", fracFor(e - sampleEvery + 1)},
+	}
+	var firstLines any
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			warmup := int(tc.frac * float64(e))
+			// Expected counts, taken from the event stream alone: the
+			// sample instants are warmup, warmup+SampleEvery, … below e.
+			// An empty window never crosses the reset point, so its LLC
+			// counters still cover the whole stream.
+			var wantSamples int
+			var wantInstrs uint64
+			first := 0
+			if warmup < e {
+				wantSamples = (e-1-warmup)/sampleEvery + 1
+				first = warmup
+			}
+			for i := warmup; i < e; i++ {
+				wantInstrs += rec.Events[i].Instrs
+			}
+			wantAccesses := uint64(e - first)
+
+			st := memory.NewStore()
+			c := uncomp.New("Baseline", cfg, st)
+			opt := ReplayOptions{WarmupFraction: tc.frac, SampleEvery: sampleEvery, Verify: true}
+			res, err := Replay(c, rec, st, sys, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := c.Release().Extra
+			st.Release()
+			if res.Samples != wantSamples {
+				t.Errorf("warmup=%d/%d: %d samples, want %d", warmup, e, res.Samples, wantSamples)
+			}
+			if got := res.LLCStats.Reads + res.LLCStats.Writes; got != wantAccesses {
+				t.Errorf("warmup=%d/%d: %d reads+writes, want %d", warmup, e, got, wantAccesses)
+			}
+			if res.Instructions != wantInstrs {
+				t.Errorf("warmup=%d/%d: %d instructions, want %d", warmup, e, res.Instructions, wantInstrs)
+			}
+			if firstLines == nil {
+				firstLines = lines
+			} else if !reflect.DeepEqual(lines, firstLines) {
+				t.Errorf("warmup=%d/%d: resident lines differ from warmup=0", warmup, e)
+			}
+		})
+	}
+}
+
 // TestDRAMRates: rates are positive and DRAM ≤ LLC access rate.
 func TestDRAMRates(t *testing.T) {
 	img := memory.NewStore()
@@ -303,81 +388,5 @@ func TestReplayWithDRAMModel(t *testing.T) {
 	}
 	if modelled.IPC == flat.IPC {
 		t.Fatal("DRAM model had no timing effect")
-	}
-}
-
-// TestShardedWarmupBoundaries: Replay and ReplaySharded each compute the
-// warmup index from WarmupFraction independently (replay.go and
-// sharded.go carry a copy of the same formula), so a drift in either
-// copy silently breaks the byte-identity contract. This property test
-// pins field-for-field agreement — metrics, sample counts, and the full
-// release snapshot — at the degenerate extremes (warmup == 0, warmup ==
-// len(events)) and at off-by-one sample-schedule boundaries around the
-// last sample instant.
-func TestShardedWarmupBoundaries(t *testing.T) {
-	img := memory.NewStore()
-	accesses := synthTrace(9, 60000, 4096, img)
-	sys := tinySystem()
-	rec := Record(trace.NewSliceSource(accesses), sys, img)
-	e := len(rec.Events)
-	const sampleEvery = 64
-	if e < 4*sampleEvery {
-		t.Fatalf("trace too filtered for boundary cases: %d events", e)
-	}
-	cfg := uncomp.Config{SizeBytes: 64 << 10, Ways: 8, Policy: "plru"}
-
-	// fracFor yields a WarmupFraction that truncates to exactly w:
-	// (w+0.5)/e × e is within half an event of w+0.5, so int() floors it
-	// to w for every e this trace produces.
-	fracFor := func(w int) float64 { return (float64(w) + 0.5) / float64(e) }
-	fracs := []float64{
-		0,          // warmup == 0: reset fires on the first event
-		1,          // warmup == len(events): empty measurement window
-		fracFor(1), // reset one event in
-		fracFor(e - 1),
-		// Around one SampleEvery stride before the end: the number of
-		// post-warmup sample instants changes by one across these.
-		fracFor(e - sampleEvery - 1),
-		fracFor(e - sampleEvery),
-		fracFor(e - sampleEvery + 1),
-	}
-	for _, frac := range fracs {
-		warmup := int(frac * float64(e))
-		opt := ReplayOptions{WarmupFraction: frac, SampleEvery: sampleEvery, Verify: true}
-
-		st := memory.NewStore()
-		c := uncomp.New("Baseline", cfg, st)
-		want, err := Replay(c, rec, st, sys, opt)
-		if err != nil {
-			t.Fatalf("warmup=%d: serial: %v", warmup, err)
-		}
-		wantSnap := c.Release()
-		st.Release()
-
-		for _, n := range []int{2, 3} {
-			shards := make([]llc.Cache, n)
-			stores := make([]*memory.Store, n)
-			ucs := make([]*uncomp.Cache, n)
-			for i := range shards {
-				stores[i] = memory.NewStore()
-				ucs[i] = uncomp.New("Baseline", cfg, stores[i])
-				shards[i] = ucs[i]
-			}
-			got, err := ReplaySharded(shards, stores, rec, sys, opt)
-			if err != nil {
-				t.Fatalf("warmup=%d shards=%d: %v", warmup, n, err)
-			}
-			gotSnap := uncomp.MergeRelease(ucs)
-			for _, s := range stores {
-				s.Release()
-			}
-			if got != want {
-				t.Errorf("warmup=%d/%d shards=%d: result diverged\n got %+v\nwant %+v",
-					warmup, e, n, got, want)
-			}
-			if !reflect.DeepEqual(gotSnap, wantSnap) {
-				t.Errorf("warmup=%d/%d shards=%d: release snapshot diverged", warmup, e, n)
-			}
-		}
 	}
 }

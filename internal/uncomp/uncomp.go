@@ -121,17 +121,6 @@ func (c *Cache) Footprint() llc.Footprint {
 	}
 }
 
-// SetIndex reports the tag set owning addr. Together with NumTagSets it
-// makes the conventional cache set-partitioned (sim.SetPartitioned): an
-// access to addr touches only state owned by addr's set — the tag entries,
-// that set's replacement bits, and the per-cache statistics counters —
-// so an event stream partitioned by set replays identically on disjoint
-// shard caches.
-func (c *Cache) SetIndex(addr line.Addr) int { return c.tags.SetOf(addr) }
-
-// NumTagSets reports the tag set count (see SetIndex).
-func (c *Cache) NumTagSets() int { return c.tags.Config().Sets() }
-
 // Contents returns the resident lines (address → data), used for the
 // snapshot-based motivation experiments (Figs. 1, 2, 5).
 func (c *Cache) Contents() map[line.Addr]line.Line {
@@ -181,44 +170,4 @@ func (c *Cache) Release() llc.StatsSnapshot {
 	}
 	c.tags = nil
 	return llc.StatsSnapshot{Design: c.name, Stats: c.stats, Extra: snap}
-}
-
-// MergeRelease releases every shard of a set-sharded replay and merges
-// them into the snapshot the equivalent unsharded cache would have
-// produced: statistics summed field-wise and the union of resident lines
-// in ascending address order. Set-sharding partitions addresses by tag
-// set, so the shards hold disjoint address ranges and the merged ordering
-// equals the serial ordering. The shards must not be used afterwards.
-func MergeRelease(shards []*Cache) llc.StatsSnapshot {
-	if len(shards) == 0 {
-		panic("uncomp: MergeRelease of zero shards")
-	}
-	type resident struct {
-		addr line.Addr
-		data line.Line
-	}
-	var pairs []resident
-	var stats llc.Stats
-	for _, c := range shards {
-		if c.tags == nil {
-			panic("uncomp: MergeRelease after Release")
-		}
-		c.tags.ForEach(func(_ int, e *cache.Entry[line.Line]) {
-			pairs = append(pairs, resident{e.Addr, e.Payload})
-		})
-		s := c.stats
-		stats.Reads += s.Reads
-		stats.Writes += s.Writes
-		stats.ReadHits += s.ReadHits
-		stats.WriteHits += s.WriteHits
-		stats.Fills += s.Fills
-		stats.Writebacks += s.Writebacks
-		c.tags = nil
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].addr < pairs[j].addr })
-	snap := &Snapshot{Lines: make([]line.Line, len(pairs))}
-	for i := range pairs {
-		snap.Lines[i] = pairs[i].data
-	}
-	return llc.StatsSnapshot{Design: shards[0].name, Stats: stats, Extra: snap}
 }

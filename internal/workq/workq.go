@@ -1,19 +1,17 @@
-// Package workq defines the transport-neutral work-queue contract behind
-// the distributed campaign coordinator. A queue hands out Tasks — one
-// design × profile cell of a campaign matrix each — to any number of
-// workers; the spool directory (internal/spool) and the TCP protocol
-// (internal/netq) are two transports of this one queue, so the worker
-// loop, the task schema, and the completion semantics are shared and the
-// transports differ only in how a claim travels.
+// Package workq defines the work-queue contract behind the distributed
+// campaign coordinator. A queue hands out Tasks — one design × profile
+// cell of a campaign matrix each — to any number of workers. The TCP
+// protocol in internal/netq is the transport; this package holds the
+// task schema, the worker loop, and the completion semantics, and the
+// Queue interface lets the loop's tests substitute a scripted fake.
 //
 // Completion is at-least-once with idempotent effect: a task lost to a
-// crashed worker is eventually re-issued (spool: claim-file reclamation;
-// netq: lease expiry or connection loss), and a duplicate completion of
-// the same task is harmless because the run result is content-addressed —
-// both executions produce the same artifact under the same key. The
-// coordinator's final in-process campaign pass recomputes anything that
-// never completed, so a queue failure can cost redundant work but never
-// correctness.
+// crashed worker is eventually re-issued (lease expiry or connection
+// loss), and a duplicate completion of the same task is harmless because
+// the run result is content-addressed — both executions produce the same
+// artifact under the same key. The coordinator's final in-process
+// campaign pass recomputes anything that never completed, so a queue
+// failure can cost redundant work but never correctness.
 package workq
 
 import "time"
@@ -79,30 +77,15 @@ type Queue interface {
 	// internally before answering false).
 	Claim() (t Task, ok bool, err error)
 	// Heartbeat signals the task is still being worked on, postponing
-	// the transport's abandoned-claim recovery (spool: claim-file mtime
-	// restamp; netq: lease extension).
+	// the transport's abandoned-claim recovery (netq: lease extension).
 	Heartbeat(t Task) error
 	// Finish reports the task's outcome and releases the claim.
 	Finish(t Task, out Outcome) error
 }
 
-// ArtifactStreamer is implemented by transports that may need the raw
-// artifact bytes in the Outcome (netq when the coordinator does not share
-// the worker's cache directory). Transports without the method — or
-// answering false — get completions by content key only.
-type ArtifactStreamer interface {
-	StreamArtifacts() bool
-}
-
-// WantsArtifacts reports whether outcomes on q must carry artifact bytes.
-func WantsArtifacts(q Queue) bool {
-	s, ok := q.(ArtifactStreamer)
-	return ok && s.StreamArtifacts()
-}
-
 // HeartbeatEvery is the default interval between heartbeats while a task
-// runs. It must be comfortably inside every transport's abandonment
-// deadline (spool reclaim-after, netq lease), so a slow-but-alive worker
+// runs. It must be comfortably inside the transport's abandonment
+// deadline (the netq lease), so a slow-but-alive worker
 // is never mistaken for a dead one.
 const HeartbeatEvery = 10 * time.Second
 
